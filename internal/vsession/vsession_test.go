@@ -113,30 +113,11 @@ func TestRunBlackoutStallsGoodput(t *testing.T) {
 // single path, because the scheduler shifts load to the surviving
 // subflow during each window.
 func TestRunMPTCPReplayDeterministic(t *testing.T) {
-	two := func() Config {
-		return Config{
-			Paths: []PathSpec{
-				{
-					Name:   "leo",
-					Down:   netem.ConstantShape(20, 25*time.Millisecond, 0.001),
-					Up:     netem.ConstantShape(5, 25*time.Millisecond, 0.001),
-					Faults: &faults.Schedule{Blackouts: []faults.Window{{Start: 5 * time.Second, Dur: 3 * time.Second}}},
-				},
-				{
-					Name: "cell",
-					Down: netem.ConstantShape(10, 40*time.Millisecond, 0.002),
-					Up:   netem.ConstantShape(3, 40*time.Millisecond, 0.002),
-				},
-			},
-			Duration: 20 * time.Second,
-			Seed:     7,
-		}
-	}
-	a, err := Run(two())
+	a, err := Run(twoPathConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(two())
+	b, err := Run(twoPathConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +136,28 @@ func TestRunMPTCPReplayDeterministic(t *testing.T) {
 	// DownFrac averages across paths: one of two paths down = 0.5.
 	if got := rows[7].DownFrac; got < 0.49 || got > 0.51 {
 		t.Fatalf("second 7 DownFrac = %.3f, want 0.5", got)
+	}
+}
+
+// twoPathConfig is an MPTCP session over a leo path with a blackout and
+// a fault-free cellular path.
+func twoPathConfig() Config {
+	return Config{
+		Paths: []PathSpec{
+			{
+				Name:   "leo",
+				Down:   netem.ConstantShape(20, 25*time.Millisecond, 0.001),
+				Up:     netem.ConstantShape(5, 25*time.Millisecond, 0.001),
+				Faults: &faults.Schedule{Blackouts: []faults.Window{{Start: 5 * time.Second, Dur: 3 * time.Second}}},
+			},
+			{
+				Name: "cell",
+				Down: netem.ConstantShape(10, 40*time.Millisecond, 0.002),
+				Up:   netem.ConstantShape(3, 40*time.Millisecond, 0.002),
+			},
+		},
+		Duration: 20 * time.Second,
+		Seed:     7,
 	}
 }
 
