@@ -26,8 +26,12 @@ test:
 	$(GO) test ./...
 
 # The worker pool lives in internal/dataset; internal/core reads the
-# generated dataset and builds the memoized query index. Both must stay
-# race-clean for every Workers value, as must the socket-juggling
+# generated dataset, builds the memoized query index and runs the §6
+# packet replays concurrently on a GOMAXPROCS-sized pool, each on its
+# own emu engine with its own tcp/mptcp stack over shared read-only
+# traces. All of these must stay race-clean for every Workers value,
+# as must the replay's emulator, event loop and transports, the
+# socket-juggling
 # relays, the measurement clients, the fault injector/supervisor, and
 # the crash-safe store / trace loaders (whose corruption suites stress
 # concurrent-looking file lifecycles: checkpoint appends, atomic
@@ -37,6 +41,7 @@ test:
 # test's default 10 min timeout.
 race:
 	$(GO) test -race -timeout 45m ./internal/dataset/ ./internal/core/ \
+		./internal/emu/ ./internal/vclock/ ./internal/tcp/ ./internal/mptcp/ \
 		./internal/netem/ ./internal/meas/... ./internal/faults/ \
 		./internal/store/ ./internal/trace/ ./internal/obs/ \
 		./internal/campaign/
@@ -128,14 +133,20 @@ streaming-suite:
 
 # The vtime suite gates the virtual-time stack under the race detector:
 # the vclock scheduler/SimClock semantics (quiesce accounting, timer
-# cancellation generations, tie-break determinism), the promoted emu
-# event heap's edge cases, the supervisor's exact-instant event-mode
-# fault windows, the pacer's exact virtual shaping, and the paired-run
-# vsession determinism tests (-count=2 replays every session twice in
-# one process on top of each test's own repeat-run assertions).
+# cancellation generations, tie-break determinism, the typed heap's
+# pop order against a container/heap reference, reserved keys), the
+# promoted emu event heap's edge cases, the links' delay lines and
+# trace cursors, same-instant order across links and TCP timers, the
+# allocation pins on the scheduler, link and TCP round trip, the
+# supervisor's exact-instant event-mode fault windows, the pacer's
+# exact virtual shaping, and the paired-run vsession determinism tests
+# (-count=2 replays every session twice in one process on top of each
+# test's own repeat-run assertions, and checks the pinned digests).
 vtime-suite:
 	$(GO) test -race -v -count=2 ./internal/vclock/ ./internal/vsession/
-	$(GO) test -race -v -count=1 -run 'Engine|SupervisorVirtual|SimClock' ./internal/emu/ ./internal/faults/
+	$(GO) test -race -v -count=1 -run 'Engine|DelayLine|SameInstant|Cursor|Allocs|SupervisorVirtual|SimClock' \
+		./internal/emu/ ./internal/faults/
+	$(GO) test -race -v -count=1 -run 'RTORearm|Allocs' ./internal/tcp/
 	$(GO) test -race -v -count=1 -run 'PacerShapesExactly|PacerDroptailExact' ./internal/netem/
 	$(GO) test -race -v -count=1 -run 'CampaignVSession' ./internal/campaign/
 

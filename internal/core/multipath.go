@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"satcell/internal/channel"
@@ -105,6 +108,63 @@ func runMPTCP(traces []*channel.Trace, dur time.Duration, rcvBuf, queue int, sch
 	}
 }
 
+// replayAll runs independent replays on a pool of
+// runtime.GOMAXPROCS(0) workers and returns their results by index.
+// Every replay builds its own engine, paths and transports from its own
+// seed and only reads the shared traces, so its result does not depend
+// on the pool size or on which worker ran it. A panicking replay is
+// re-raised on the caller's goroutine once the pool has drained.
+func replayAll(jobs []func() MultipathRun) []MultipathRun {
+	out := make([]MultipathRun, len(jobs))
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		panicMu sync.Mutex
+		panicV  any
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(jobs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicMu.Lock()
+					if panicV == nil {
+						panicV = r
+					}
+					panicMu.Unlock()
+				}
+			}()
+			for i := int(next.Add(1) - 1); i < len(jobs); i = int(next.Add(1) - 1) {
+				out[i] = jobs[i]()
+			}
+		}()
+	}
+	wg.Wait()
+	if panicV != nil {
+		panic(panicV)
+	}
+	return out
+}
+
+// replayJobs builds the replays of one figure for replayAll. Scheduler
+// instances are made here, in job order, on the caller's goroutine.
+type replayJobs struct {
+	cfg  *MultipathConfig
+	dur  time.Duration
+	jobs []func() MultipathRun
+}
+
+func (j *replayJobs) single(tr *channel.Trace, seed int64) {
+	dur, queue := j.dur, j.cfg.QueueBytes
+	j.jobs = append(j.jobs, func() MultipathRun { return runSingleTCP(tr, dur, queue, seed) })
+}
+
+func (j *replayJobs) mptcp(traces []*channel.Trace, rcvBuf int, seed int64) {
+	dur, queue, sched := j.dur, j.cfg.QueueBytes, j.cfg.Scheduler()
+	j.jobs = append(j.jobs, func() MultipathRun { return runMPTCP(traces, dur, rcvBuf, queue, sched, seed) })
+}
+
 // alignedWindows extracts n aligned trace windows of the given length
 // for the networks of interest, spread across the dataset's drives.
 // Matching the paper's MpShell methodology (§6), the windows replay the
@@ -126,11 +186,17 @@ func (a *Analyzer) alignedWindows(winDur time.Duration, n int) [][]*channel.Trac
 	for di := 0; di < len(a.DS.Drives) && len(out) < n; di++ {
 		d := &a.DS.Drives[di]
 		dur := time.Duration(len(d.Fixes)) * time.Second
+		if winDur > dur {
+			continue
+		}
+		full := make([]*channel.Trace, len(need))
+		for i, net := range need {
+			full[i] = d.Trace(net)
+		}
 		for off := time.Duration(0); off+winDur <= dur && len(out) < n; off += winDur + 60*time.Second {
 			var ws []*channel.Trace
-			for _, net := range need {
-				full := d.Trace(net)
-				ws = append(ws, replayTrace(full.Slice(off, off+winDur)))
+			for _, tr := range full {
+				ws = append(ws, replayTrace(tr.Slice(off, off+winDur)))
 			}
 			aligned := trace.Align(ws...)
 			// The paper's MPTCP experiments replay windows where both
@@ -209,20 +275,30 @@ func (a *Analyzer) Figure10(cfg MultipathConfig) *Figure {
 		return f
 	}
 
+	// Seven replays per window: three single paths, then MPTCP with
+	// tuned and untuned buffers over MOB+ATT and MOB+VZ.
+	const perWindow = 7
+	rj := replayJobs{cfg: &cfg, dur: winDur}
+	for wi, ws := range windows {
+		mobTr, attTr, vzTr := ws[0], ws[1], ws[2]
+		seed := a.Seed + int64(wi*100)
+		rj.single(attTr, seed+1)
+		rj.single(vzTr, seed+2)
+		rj.single(mobTr, seed+3)
+		rj.mptcp([]*channel.Trace{mobTr, attTr}, cfg.TunedBuf, seed+4)
+		rj.mptcp([]*channel.Trace{mobTr, vzTr}, cfg.TunedBuf, seed+6)
+		rj.mptcp([]*channel.Trace{mobTr, attTr}, cfg.UntunedBuf, seed+8)
+		rj.mptcp([]*channel.Trace{mobTr, vzTr}, cfg.UntunedBuf, seed+10)
+	}
+	runs := replayAll(rj.jobs)
+
 	collect := map[string][]float64{}
 	var utilSum, utilN float64
 	var gainATT, gainVZ []float64
 	var gainATTUntuned, gainVZUntuned []float64
-	for wi, ws := range windows {
-		mobTr, attTr, vzTr := ws[0], ws[1], ws[2]
-		seed := a.Seed + int64(wi*100)
-		att := runSingleTCP(attTr, winDur, cfg.QueueBytes, seed+1)
-		vz := runSingleTCP(vzTr, winDur, cfg.QueueBytes, seed+2)
-		mob := runSingleTCP(mobTr, winDur, cfg.QueueBytes, seed+3)
-		mpATT := runMPTCP([]*channel.Trace{mobTr, attTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+4)
-		mpVZ := runMPTCP([]*channel.Trace{mobTr, vzTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+6)
-		mpATTu := runMPTCP([]*channel.Trace{mobTr, attTr}, winDur, cfg.UntunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+8)
-		mpVZu := runMPTCP([]*channel.Trace{mobTr, vzTr}, winDur, cfg.UntunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+10)
+	for wi := range windows {
+		r := runs[wi*perWindow : (wi+1)*perWindow]
+		att, vz, mob, mpATT, mpVZ, mpATTu, mpVZu := r[0], r[1], r[2], r[3], r[4], r[5], r[6]
 
 		collect["ATT"] = append(collect["ATT"], att.Mbps)
 		collect["VZ"] = append(collect["VZ"], vz.Mbps)
@@ -301,13 +377,13 @@ func (a *Analyzer) Figure11(cfg MultipathConfig) *Figure {
 	mobTr, attTr, vzTr := ws[0], ws[1], ws[2]
 	seed := a.Seed + 7000
 
-	runs := []MultipathRun{
-		runSingleTCP(mobTr, winDur, cfg.QueueBytes, seed+1),
-		runSingleTCP(attTr, winDur, cfg.QueueBytes, seed+2),
-		runMPTCP([]*channel.Trace{mobTr, attTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+3),
-		runSingleTCP(vzTr, winDur, cfg.QueueBytes, seed+5),
-		runMPTCP([]*channel.Trace{mobTr, vzTr}, winDur, cfg.TunedBuf, cfg.QueueBytes, cfg.Scheduler(), seed+6),
-	}
+	rj := replayJobs{cfg: &cfg, dur: winDur}
+	rj.single(mobTr, seed+1)
+	rj.single(attTr, seed+2)
+	rj.mptcp([]*channel.Trace{mobTr, attTr}, cfg.TunedBuf, seed+3)
+	rj.single(vzTr, seed+5)
+	rj.mptcp([]*channel.Trace{mobTr, vzTr}, cfg.TunedBuf, seed+6)
+	runs := replayAll(rj.jobs)
 	labels := []string{"MOB(a)", "ATT(a)", "MPTCP(a)", "VZ(b)", "MPTCP(b)"}
 	for i, r := range runs {
 		s := Series{Label: labels[i]}

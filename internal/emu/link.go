@@ -81,16 +81,33 @@ const minRateMbps = 0.01
 
 // Link is a unidirectional trace-shaped pipe: droptail queue -> variable
 // rate serializer -> random loss gate -> propagation delay -> receiver.
+//
+// A link owns a packet from Send until it passes the packet to its
+// deliver callback, and never touches it after that: the receiver may
+// reuse it, even from inside the callback. A packet Send rejects stays
+// with the caller.
 type Link struct {
 	eng     *Engine
 	cfg     LinkConfig
 	deliver func(*Packet)
 
-	queue        []*Packet
+	queue        ring[*Packet]
 	queueBytes   int
 	busy         bool
+	line         ring[flight]  // serialized packets in propagation, FIFO
 	lastDelivery time.Duration // enforces FIFO across varying delay
 	stats        LinkStats
+
+	// Event callbacks, bound once so scheduling allocates nothing.
+	serveFn, finishFn, deliverFn func()
+}
+
+// flight is a packet in the delay line with the event key its delivery
+// reserved when it left the serializer.
+type flight struct {
+	at  time.Duration
+	seq uint64
+	p   *Packet
 }
 
 // NewLink creates a link inside eng delivering packets to deliver.
@@ -107,7 +124,9 @@ func NewLink(eng *Engine, cfg LinkConfig, deliver func(*Packet)) *Link {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = 400 * 1024
 	}
-	return &Link{eng: eng, cfg: cfg, deliver: deliver}
+	l := &Link{eng: eng, cfg: cfg, deliver: deliver}
+	l.serveFn, l.finishFn, l.deliverFn = l.serveNext, l.finishTx, l.deliverHead
+	return l
 }
 
 // Stats returns the link's counters.
@@ -124,7 +143,7 @@ func (l *Link) Send(p *Packet) bool {
 		return false
 	}
 	p.SentAt = l.eng.Now()
-	l.queue = append(l.queue, p)
+	l.queue.push(p)
 	l.queueBytes += p.Size
 	l.stats.Enqueued++
 	if !l.busy {
@@ -136,41 +155,61 @@ func (l *Link) Send(p *Packet) bool {
 
 // serveNext begins transmitting the head-of-line packet.
 func (l *Link) serveNext() {
-	if len(l.queue) == 0 {
+	if l.queue.len() == 0 {
 		l.busy = false
 		return
 	}
 	rate := l.cfg.Rate(l.eng.Now())
 	if rate < minRateMbps {
 		// Outage: hold the queue and poll for capacity to return.
-		l.eng.Schedule(outagePollInterval, l.serveNext)
+		l.eng.Schedule(outagePollInterval, l.serveFn)
 		return
 	}
-	p := l.queue[0]
+	p := *l.queue.front()
 	txTime := time.Duration(float64(p.Size*8) / (rate * 1e6) * float64(time.Second))
-	l.eng.Schedule(txTime, func() { l.finishTx(p) })
+	l.eng.Schedule(txTime, l.finishFn)
 }
 
-// finishTx completes the serialization of p, applies the loss gate, and
-// hands the packet to the propagation delay stage.
-func (l *Link) finishTx(p *Packet) {
-	l.queue = l.queue[1:]
+// finishTx completes the serialization of the head-of-line packet,
+// applies the loss gate, and hands the packet to the delay line.
+//
+// Deliveries are FIFO, so the delay line keeps only its head in the
+// event heap. Each packet still reserves its event key here, where a
+// per-packet delivery event used to be scheduled, so deliveries run in
+// exactly the order, relative to every other event of the same
+// instant, that one heap entry per packet gave.
+func (l *Link) finishTx() {
+	p := l.queue.pop()
 	l.queueBytes -= p.Size
-	if l.cfg.Loss(l.eng.Now(), p) {
+	now := l.eng.Now()
+	if l.cfg.Loss(now, p) {
 		l.stats.RandomLosses++
 	} else {
 		// A shrinking delay must not reorder packets: deliver no
 		// earlier than the previous delivery (FIFO pipe semantics).
-		at := l.eng.Now() + l.cfg.Delay(l.eng.Now())
+		at := now + l.cfg.Delay(now)
 		if at < l.lastDelivery {
 			at = l.lastDelivery
 		}
 		l.lastDelivery = at
-		l.eng.ScheduleAt(at, func() {
-			l.stats.Delivered++
-			l.stats.DeliveredBytes += int64(p.Size)
-			l.deliver(p)
-		})
+		seq := l.eng.Reserve()
+		if l.line.len() == 0 {
+			l.eng.ScheduleKeyed(at, seq, l.deliverFn)
+		}
+		l.line.push(flight{at: at, seq: seq, p: p})
 	}
 	l.serveNext()
+}
+
+// deliverHead hands the delay line's head to the receiver and queues
+// the next packet's delivery under the key it reserved.
+func (l *Link) deliverHead() {
+	p := l.line.pop().p
+	if l.line.len() > 0 {
+		next := l.line.front()
+		l.eng.ScheduleKeyed(next.at, next.seq, l.deliverFn)
+	}
+	l.stats.Delivered++
+	l.stats.DeliveredBytes += int64(p.Size)
+	l.deliver(p)
 }

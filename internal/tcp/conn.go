@@ -58,8 +58,51 @@ type ack struct {
 	cum       int64         // cumulative subflow ACK
 	echoTS    time.Duration // timestamp echoed from the segment triggering this ACK
 	rwnd      int           // receive window in bytes
-	sacks     []sackRange   // selective acknowledgement blocks
-	wndUpdate bool          // pure window update: never counts as a duplicate ACK
+	sacks     [maxSackBlocks]sackRange
+	nsacks    int  // selective acknowledgement blocks in use
+	wndUpdate bool // pure window update: never counts as a duplicate ACK
+}
+
+// dataPacket and ackPacket are the packets a connection puts on its
+// links, each carrying its payload inline and naming itself as the
+// emu.Packet's Payload. The receiving side copies the payload out and
+// returns the packet to its connection's free list, so a steady
+// transfer cycles through a fixed set of packets instead of allocating
+// one (plus a boxed payload) per segment and per ACK.
+type dataPacket struct {
+	emu.Packet
+	seg segment
+}
+
+type ackPacket struct {
+	emu.Packet
+	ack ack
+}
+
+// freeList holds packets for reuse.
+type freeList[T any] []*T
+
+func (f *freeList[T]) get() *T {
+	n := len(*f)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*f)[n-1]
+	*f = (*f)[:n-1]
+	return x
+}
+
+func (f *freeList[T]) put(x *T) { *f = append(*f, x) }
+
+// eventKey is where an event sits in the engine's order: its time and
+// the tie-break key reserved for it.
+type eventKey struct {
+	at  time.Duration
+	seq uint64
+}
+
+func (e eventKey) before(o eventKey) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
 // ackSize is the wire size of a pure ACK.
@@ -153,19 +196,32 @@ type Conn struct {
 	dupAcks      int
 	inRecovery   bool
 	recover      int64
-	rtoSeq       int64
-	rtoArmed     bool
 	srtt         time.Duration
 	rttvar       time.Duration
 	rto          time.Duration
 	peerRwnd     int
-	unacked      []sseg // scoreboard, ordered by seq
+	unacked      []sseg // scoreboard, ordered by seq: a window into board
+	board        []sseg // the scoreboard's whole backing array
 	sackedBytes  int
 	lostBytes    int
 	retransBytes int // outstanding retransmissions (in pipe)
 	highSacked   int64
 	minRTT       time.Duration
 	running      bool
+
+	// Retransmission timer. rtoKey is the armed deadline with the
+	// event key armRTO reserved for it. rtoQueued lists this timer's
+	// entries in the event heap, earliest-due last. Rather than one
+	// entry (and one closure) per re-arm, the timer keeps an entry due
+	// no later than the armed deadline, and an older entry coming due
+	// re-queues it under the armed key.
+	rtoArmed  bool
+	rtoKey    eventKey
+	rtoQueued []eventKey
+	rtoFn     func()
+
+	freeData freeList[dataPacket]
+	freeAck  freeList[ackPacket]
 
 	// Receiver state.
 	rcvNxt    int64
@@ -185,7 +241,7 @@ type Conn struct {
 // delivery paths (see NewDownload / NewUpload for the common wiring).
 func NewConn(eng *emu.Engine, flow int, dataLink, ackLink *emu.Link, cfg Config) *Conn {
 	cfg.defaults()
-	return &Conn{
+	c := &Conn{
 		eng:      eng,
 		cfg:      cfg,
 		flow:     flow,
@@ -197,6 +253,8 @@ func NewConn(eng *emu.Engine, flow int, dataLink, ackLink *emu.Link, cfg Config)
 		peerRwnd: cfg.RcvBuf,
 		oooSegs:  make(map[int64]segment),
 	}
+	c.rtoFn = c.onRTOTimer
+	return c
 }
 
 // NewDownload wires a bulk download over a duplex path: data segments
@@ -325,7 +383,7 @@ func (c *Conn) trySend() {
 			sentAt: c.eng.Now(),
 		}
 		c.sndNxt += int64(chunk.Len)
-		c.unacked = append(c.unacked, sseg{segment: seg})
+		c.pushSeg(sseg{segment: seg})
 		c.transmit(seg, false)
 	}
 }
@@ -344,18 +402,33 @@ func (c *Conn) nextLost() int {
 	return -1
 }
 
+// pushSeg appends s to the scoreboard. Pruning acknowledged segments
+// advances the window's start through the backing array. When the
+// window reaches the array's end, the live segments move back to the
+// front, into a fresh array twice the size if they fill half or more
+// of the old one, so the array is reused instead of regrown on every
+// append past its end.
+func (c *Conn) pushSeg(s sseg) {
+	if len(c.unacked) == cap(c.unacked) {
+		if 2*len(c.unacked) >= len(c.board) {
+			c.board = make([]sseg, max(64, 2*len(c.board)))
+		}
+		c.unacked = c.board[:copy(c.board, c.unacked)]
+	}
+	c.unacked = append(c.unacked, s)
+}
+
 func (c *Conn) transmit(seg segment, retrans bool) {
 	c.stats.SegmentsSent++
 	if retrans {
 		c.stats.Retransmits++
 	}
-	pkt := &emu.Packet{
-		Flow:    c.flow,
-		Seq:     seg.seq,
-		Size:    seg.length + headerSize,
-		Payload: seg,
+	p := c.freeData.get()
+	p.Packet = emu.Packet{Flow: c.flow, Seq: seg.seq, Size: seg.length + headerSize, Payload: p}
+	p.seg = seg
+	if !c.dataLink.Send(&p.Packet) {
+		c.freeData.put(p) // droptail loss is just silence to the sender
 	}
-	c.dataLink.Send(pkt) // droptail loss is just silence to the sender
 	c.armRTO()
 }
 
@@ -364,9 +437,35 @@ func (c *Conn) armRTO() {
 		return
 	}
 	c.rtoArmed = true
-	c.rtoSeq++
-	seq := c.rtoSeq
-	c.eng.Schedule(c.rto, func() { c.fireRTO(seq) })
+	c.rtoKey = eventKey{c.eng.Now() + c.rto, c.eng.Reserve()}
+	c.queueRTO()
+}
+
+// queueRTO makes sure the heap holds a timer entry due no later than
+// the armed deadline, queueing one under the armed key if not.
+func (c *Conn) queueRTO() {
+	if n := len(c.rtoQueued); n > 0 && !c.rtoKey.before(c.rtoQueued[n-1]) {
+		return
+	}
+	c.rtoQueued = append(c.rtoQueued, c.rtoKey)
+	c.eng.ScheduleKeyed(c.rtoKey.at, c.rtoKey.seq, c.rtoFn)
+}
+
+// onRTOTimer runs when a timer entry comes due. The heap pops entries
+// in key order, so it is always the earliest queued one. It fires the
+// timer if the entry is the armed one; an entry left from an earlier
+// arming only passes the watch on to the armed deadline.
+func (c *Conn) onRTOTimer() {
+	n := len(c.rtoQueued) - 1
+	e := c.rtoQueued[n]
+	c.rtoQueued = c.rtoQueued[:n]
+	switch {
+	case !c.rtoArmed:
+	case e != c.rtoKey:
+		c.queueRTO()
+	default:
+		c.fireRTO()
+	}
 }
 
 func (c *Conn) resetRTO() {
@@ -376,10 +475,7 @@ func (c *Conn) resetRTO() {
 	}
 }
 
-func (c *Conn) fireRTO(seq int64) {
-	if seq != c.rtoSeq || !c.rtoArmed {
-		return // superseded timer
-	}
+func (c *Conn) fireRTO() {
 	c.rtoArmed = false
 	if c.sndUna >= c.sndNxt {
 		return // everything acked meanwhile
@@ -467,12 +563,14 @@ func (c *Conn) detectLosses() bool {
 }
 
 func (c *Conn) onAck(p *emu.Packet) {
-	a, ok := p.Payload.(ack)
+	ap, ok := p.Payload.(*ackPacket)
 	if !ok {
 		return
 	}
+	a := ap.ack
+	c.freeAck.put(ap)
 	c.peerRwnd = a.rwnd
-	c.applySacks(a.sacks)
+	c.applySacks(a.sacks[:a.nsacks])
 
 	newlyAcked := 0
 	if a.cum > c.sndUna {
@@ -603,10 +701,12 @@ func (c *Conn) rwnd() int {
 }
 
 func (c *Conn) onData(p *emu.Packet) {
-	seg, ok := p.Payload.(segment)
+	dp, ok := p.Payload.(*dataPacket)
 	if !ok {
 		return
 	}
+	seg := dp.seg
+	c.freeData.put(dp)
 	now := c.eng.Now()
 	switch {
 	case seg.seq == c.rcvNxt:
@@ -648,11 +748,15 @@ func (c *Conn) insertRange(s, e int64) {
 		}
 		j++
 	}
-	out := make([]sackRange, 0, len(rs)-(j-i)+1)
-	out = append(out, rs[:i]...)
-	out = append(out, sackRange{Start: s, End: e})
-	out = append(out, rs[j:]...)
-	c.oooRanges = out
+	// Replace rs[i:j] by the merged range, in place.
+	if i == j {
+		rs = append(rs, sackRange{})
+		copy(rs[i+1:], rs[i:])
+	} else {
+		rs = append(rs[:i+1], rs[j:]...)
+	}
+	rs[i] = sackRange{Start: s, End: e}
+	c.oooRanges = rs
 }
 
 // popRanges drops ranges now covered by rcvNxt.
@@ -661,7 +765,7 @@ func (c *Conn) popRanges() {
 	for i < len(c.oooRanges) && c.oooRanges[i].End <= c.rcvNxt {
 		i++
 	}
-	c.oooRanges = c.oooRanges[i:]
+	c.oooRanges = c.oooRanges[:copy(c.oooRanges, c.oooRanges[i:])]
 	if len(c.oooRanges) > 0 && c.oooRanges[0].Start < c.rcvNxt {
 		c.oooRanges[0].Start = c.rcvNxt
 	}
@@ -677,16 +781,13 @@ func (c *Conn) accept(seg segment, now time.Duration) {
 }
 
 func (c *Conn) sendAck(echo time.Duration, wndUpdate bool) {
-	var blocks []sackRange
-	if n := len(c.oooRanges); n > 0 {
-		if n > maxSackBlocks {
-			n = maxSackBlocks
-		}
-		blocks = make([]sackRange, n)
-		copy(blocks, c.oooRanges[:n])
+	p := c.freeAck.get()
+	p.ack = ack{cum: c.rcvNxt, echoTS: echo, rwnd: c.rwnd(), wndUpdate: wndUpdate}
+	p.ack.nsacks = copy(p.ack.sacks[:], c.oooRanges)
+	p.Packet = emu.Packet{Flow: c.flow, Seq: p.ack.cum, Size: ackSize, Payload: p}
+	if !c.ackLink.Send(&p.Packet) {
+		c.freeAck.put(p)
 	}
-	a := ack{cum: c.rcvNxt, echoTS: echo, rwnd: c.rwnd(), sacks: blocks, wndUpdate: wndUpdate}
-	c.ackLink.Send(&emu.Packet{Flow: c.flow, Seq: a.cum, Size: ackSize, Payload: a})
 }
 
 // UpdateRwnd re-advertises the receive window without new data (MPTCP

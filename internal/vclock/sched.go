@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -13,23 +12,63 @@ type event struct {
 	fn  func()
 }
 
+// before reports whether e runs ahead of o: earlier time first, then
+// earlier schedule order.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events keyed by (at, seq). It is
+// typed, so pushing and popping neither boxes an event nor goes through
+// an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the callback reference
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Scheduler is a single-threaded discrete-event scheduler with a
@@ -62,26 +101,54 @@ func (s *Scheduler) Schedule(delay time.Duration, fn func()) {
 
 // ScheduleAt runs fn at the given absolute virtual time (>= Now).
 func (s *Scheduler) ScheduleAt(at time.Duration, fn func()) {
+	s.ScheduleKeyed(at, s.Reserve(), fn)
+}
+
+// Reserve takes the next tie-break key without scheduling anything:
+// an event later scheduled with ScheduleKeyed under this key runs
+// exactly where a ScheduleAt call made now would have placed it among
+// events of the same instant. Components that hold deferred work
+// outside the heap (a link's delay line, a re-armed timer) use it to
+// keep only their earliest entry queued without changing the order.
+func (s *Scheduler) Reserve() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// ScheduleKeyed runs fn at the absolute virtual time at (>= Now) under
+// a key obtained from Reserve. Each reserved key should be scheduled at
+// most once at a time.
+func (s *Scheduler) ScheduleKeyed(at time.Duration, seq uint64, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("vclock: schedule at %v before now %v", at, s.now))
 	}
-	s.seq++
-	heap.Push(&s.events, event{at: at, seq: s.seq, fn: fn})
+	if seq == 0 || seq > s.seq {
+		panic(fmt.Sprintf("vclock: key %d was never reserved", seq))
+	}
+	s.events.push(event{at: at, seq: seq, fn: fn})
 }
 
-// pop removes and returns the earliest event. Callers must know the
-// heap is non-empty.
-func (s *Scheduler) pop() event {
-	return heap.Pop(&s.events).(event)
+// next reports the time of the earliest queued event.
+func (s *Scheduler) next() (time.Duration, bool) {
+	if len(s.events) == 0 {
+		return 0, false
+	}
+	return s.events[0].at, true
+}
+
+// step pops the earliest event, advances the clock to it and returns
+// its callback. Callers must know the heap is non-empty.
+func (s *Scheduler) step() func() {
+	ev := s.events.pop()
+	s.now = ev.at
+	return ev.fn
 }
 
 // Run processes events until none remain or Stop is called.
 func (s *Scheduler) Run() {
 	s.stopped = false
 	for len(s.events) > 0 && !s.stopped {
-		ev := s.pop()
-		s.now = ev.at
-		ev.fn()
+		s.step()()
 	}
 }
 
@@ -90,9 +157,7 @@ func (s *Scheduler) Run() {
 func (s *Scheduler) RunUntil(deadline time.Duration) {
 	s.stopped = false
 	for len(s.events) > 0 && !s.stopped && s.events[0].at <= deadline {
-		ev := s.pop()
-		s.now = ev.at
-		ev.fn()
+		s.step()()
 	}
 	if !s.stopped && s.now < deadline {
 		s.now = deadline

@@ -186,16 +186,15 @@ func (c *SimClock) run(deadline time.Duration) {
 		for c.workers > c.blocked && !c.s.stopped {
 			c.cond.Wait()
 		}
-		if c.s.stopped || len(c.s.events) == 0 {
+		if c.s.stopped {
 			break
 		}
-		if deadline >= 0 && c.s.events[0].at > deadline {
+		if at, ok := c.s.next(); !ok || deadline >= 0 && at > deadline {
 			break
 		}
-		ev := c.s.pop()
-		c.s.now = ev.at
+		fn := c.s.step()
 		c.mu.Unlock()
-		ev.fn()
+		fn()
 		c.mu.Lock()
 	}
 	if deadline >= 0 && !c.s.stopped && c.s.now < deadline {
