@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json fsck-suite obs-suite scenario-suite streaming-suite vtime-suite
+.PHONY: check build vet fmt test race chaos chaos-stream chaos-campaign flight-drill bench bench-json fsck-suite fuzz-codec obs-suite scenario-suite streaming-suite vtime-suite
 
 check: build vet fmt test race
 
@@ -59,10 +59,20 @@ obs-suite:
 
 # The fsck suite exercises the crash-safe dataset store against seeded
 # corruption — truncation, bit-flips, torn renames, kill-and-resume —
-# plus the lenient/strict loaders, all under the race detector.
+# plus the lenient/strict loaders and the trace-shard codec (the
+# differential fuzz seeds against the encoding/csv reference, the
+# fixed-point writer's exactness and the allocation pins), all under
+# the race detector.
 fsck-suite:
-	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest' \
+	$(GO) test -race -run 'Fsck|Resume|Corrupt|Lenient|Atomic|Manifest|Fuzz|Codec|Allocs' \
 		-v -count=1 ./internal/store/ ./internal/trace/
+
+# fuzz-codec fuzzes the trace-shard reader against the encoding/csv
+# scanner it replaced (strict and lenient: same errors, same skipped
+# lines, bit-identical records). New failing inputs land in
+# internal/trace/testdata/fuzz/FuzzScanRecordsCSV.
+fuzz-codec:
+	$(GO) test -run '^$$' -fuzz '^FuzzScanRecordsCSV$$' -fuzztime=30s ./internal/trace/
 
 # The chaos suite runs the real measurement tools through relays while
 # the fault subsystem blacks out links, kills-and-restarts relays and

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"satcell/internal/channel"
 )
 
 // corruptionRNG seeds every corruption draw so the suite replays
@@ -218,5 +221,70 @@ func TestFsckFlagsNonMonotonicTimestamps(t *testing.T) {
 	probs := problemsFor(rep, shardName)
 	if len(probs) == 0 || !strings.Contains(probs[0].Desc, "timestamps") {
 		t.Fatalf("non-monotonic timestamps not flagged:\n%s", rep)
+	}
+}
+
+// TestFsckCorruptUnparseableShardReportsOnlyChecksum flips one bit that
+// both breaks a shard's checksum and makes a row unparseable: fsck
+// reads the file once, but a content finding only counts for a file
+// whose checksum verifies, so the checksum finding is the only one.
+func TestFsckCorruptUnparseableShardReportsOnlyChecksum(t *testing.T) {
+	dir := exportClean(t)
+	path := exportedShardPath(t, dir)
+	name := filepath.Base(path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first digit of the first data row's at_ms: '0'..'9' ^ 0x40 is
+	// a letter, so the strict parse fails on line 2.
+	row := bytes.IndexByte(b, '\n') + 1
+	at := row + bytes.IndexByte(b[row:], ',') + 1
+	b[at] ^= 0x40
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ScanTrace(path, Strict, &LoadReport{}, func(channel.NetworkID, channel.Record) error {
+		return nil
+	}); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("flipped shard should fail the strict scan on line 2, got %v", err)
+	}
+
+	rep, err := Fsck(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 1 || rep.Problems[0].File != name ||
+		!strings.Contains(rep.Problems[0].Desc, "checksum") {
+		t.Fatalf("want exactly one checksum finding for %s:\n%s", name, rep)
+	}
+}
+
+// TestFsckReadErrorReportsOnlyHash injects a read error into one shard:
+// the single read fsck makes fails, and the failure is reported as the
+// hash error a separate verify pass would have reported, with no
+// content finding and no rows counted for the file.
+func TestFsckReadErrorReportsOnlyHash(t *testing.T) {
+	dir := exportClean(t)
+	clean, err := Fsck(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := shardNames(t, dir)
+	victim := names[0]
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := FsckFS(NewFaultFS(nil, faultSched(t, "read-err:"+victim+":x1")), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Problems) != 1 || rep.Problems[0].File != victim ||
+		!strings.HasPrefix(rep.Problems[0].Desc, "store: hash ") {
+		t.Fatalf("want exactly one hash finding for %s:\n%s", victim, rep)
+	}
+	if want := clean.RowsChecked - m.Files[victim].Rows; rep.RowsChecked != want {
+		t.Fatalf("rows checked %d, want %d (all but the unreadable file's)", rep.RowsChecked, want)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"satcell/internal/channel"
 )
 
 func TestLoadTestsStrictRoundTrip(t *testing.T) {
@@ -105,7 +107,7 @@ func TestReadTestsOptionalColumns(t *testing.T) {
 	}
 }
 
-func TestLoadTraceLenient(t *testing.T) {
+func TestScanTraceLenientSkipsAndCounts(t *testing.T) {
 	dir := exportClean(t)
 	m, err := ReadManifest(dir)
 	if err != nil {
@@ -129,14 +131,19 @@ func TestLoadTraceLenient(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr, rep, err := LoadTrace(path, Lenient)
-	if err != nil {
+	rep := &LoadReport{}
+	samples := 0
+	if err := ScanTrace(path, Lenient, rep, func(channel.NetworkID, channel.Record) error {
+		samples++
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Skipped != 1 || len(tr.Samples) != total-1 || rep.Rows != total-1 {
-		t.Fatalf("lenient trace load: %s, %d samples, want %d", rep, len(tr.Samples), total-1)
+	if rep.Skipped != 1 || samples != total-1 || rep.Rows != total-1 {
+		t.Fatalf("lenient trace scan: %s, %d samples, want %d", rep, samples, total-1)
 	}
-	if _, _, err := LoadTrace(path, Strict); err == nil {
-		t.Fatal("strict trace load of a corrupted shard must fail")
+	err = ScanTrace(path, Strict, &LoadReport{}, func(channel.NetworkID, channel.Record) error { return nil })
+	if err == nil {
+		t.Fatal("strict trace scan of a corrupted shard must fail")
 	}
 }

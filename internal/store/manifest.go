@@ -151,6 +151,12 @@ func (m *Manifest) VerifyFileFS(fsys FS, dir, name string) error {
 	if err != nil {
 		return err
 	}
+	return fi.verify(name, sum, size)
+}
+
+// verify compares a file's measured sha256 and size with its entry,
+// telling a truncated or resized file from a bit-corrupted one.
+func (fi FileInfo) verify(name, sum string, size int64) error {
 	if size != fi.Bytes {
 		return fmt.Errorf("store: %s is %d bytes, manifest says %d (truncated or resized)",
 			name, size, fi.Bytes)

@@ -2,10 +2,12 @@ package store
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"satcell/internal/channel"
+	"satcell/internal/trace"
 )
 
 func TestParseShardName(t *testing.T) {
@@ -128,7 +130,7 @@ func TestScanTestsConsumerErrorAborts(t *testing.T) {
 	}
 }
 
-func TestScanTraceMatchesLoadTrace(t *testing.T) {
+func TestScanTraceMatchesReadCSV(t *testing.T) {
 	dir := exportClean(t)
 	ds := testDataset()
 	sh, ok := ParseShardName(ShardName(0, ds.Drives[0].Route, channel.Networks[0]), nil)
@@ -136,7 +138,12 @@ func TestScanTraceMatchesLoadTrace(t *testing.T) {
 		t.Fatal("canonical shard name failed to parse")
 	}
 	path := filepath.Join(dir, sh.Name)
-	tr, _, err := LoadTrace(path, Strict)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.ReadCSV(f)
+	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +159,7 @@ func TestScanTraceMatchesLoadTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(recs) != len(tr.Samples) || rep.Rows != len(recs) {
-		t.Fatalf("scanned %d records (report %d), loader saw %d samples",
+		t.Fatalf("scanned %d records (report %d), ReadCSV saw %d samples",
 			len(recs), rep.Rows, len(tr.Samples))
 	}
 	for i := range recs {

@@ -17,13 +17,15 @@
 //     deterministic (internal/dataset's planning pass), so a resumed
 //     campaign is bit-identical to an uninterrupted one.
 //
-//   - Validating ingestion: LoadTests / LoadTrace layer a strict or
-//     lenient loader over the CSV readers; lenient mode skips and
-//     counts malformed rows into a LoadReport instead of aborting a
-//     1,000-test load on one bad line.
+//   - Validating ingestion: LoadTests / ScanTests / ScanTrace layer a
+//     strict or lenient reader over the CSV scanners; lenient mode
+//     skips and counts malformed rows into a LoadReport instead of
+//     aborting a 1,000-test load on one bad line.
 //
 //   - Fsck audits a dataset directory: manifest checksums, torn
-//     renames, schema, row counts and timestamp monotonicity.
+//     renames, schema, row counts and timestamp monotonicity, reading
+//     each file once (its bytes feed the checksum and the strict row
+//     scan together) and materialising nothing.
 package store
 
 import (

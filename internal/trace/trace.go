@@ -7,13 +7,15 @@ package trace
 
 import (
 	"bufio"
-	"encoding/csv"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"satcell/internal/channel"
 	"satcell/internal/geo"
@@ -32,32 +34,19 @@ var csvHeader = []string{
 // loading.
 var csvEnvHeader = []string{"area", "speed_kmh", "burst"}
 
+// The header lines of the base and the extended layout.
+var (
+	baseHeaderLine = "network," + strings.Join(csvHeader, ",") + "\n"
+	extHeaderLine  = strings.TrimSuffix(baseHeaderLine, "\n") + "," + strings.Join(csvEnvHeader, ",") + "\n"
+)
+
 // WriteCSV writes tr in the satcell CSV trace format.
 func WriteCSV(w io.Writer, tr *channel.Trace) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"network"}, csvHeader...)
-	if err := cw.Write(header); err != nil {
-		return fmt.Errorf("trace: write header: %w", err)
-	}
-	for _, s := range tr.Samples {
-		rec := []string{
-			tr.Network.String(),
-			strconv.FormatInt(s.At.Milliseconds(), 10),
-			strconv.FormatFloat(s.DownMbps, 'f', 3, 64),
-			strconv.FormatFloat(s.UpMbps, 'f', 3, 64),
-			strconv.FormatFloat(float64(s.RTT.Microseconds())/1000, 'f', 3, 64),
-			strconv.FormatFloat(s.LossDown, 'f', 6, 64),
-			strconv.FormatFloat(s.LossUp, 'f', 6, 64),
-			strconv.FormatFloat(s.SignalDB, 'f', 2, 64),
-			s.Serving,
-			strconv.FormatBool(s.Outage),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("trace: write record: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	net := appendField(nil, tr.Network.String())
+	return writeRows(w, baseHeaderLine, len(tr.Samples), func(b []byte, i int) []byte {
+		b = appendSample(b, net, &tr.Samples[i])
+		return append(b, '\n')
+	})
 }
 
 // WriteRecordsCSV writes drive records in the extended trace layout:
@@ -66,35 +55,88 @@ func WriteCSV(w io.Writer, tr *channel.Trace) error {
 // streaming analyzer rebuilds area/speed figures and replays the fluid
 // TCP model from the file alone, without the generating process.
 func WriteRecordsCSV(w io.Writer, network channel.NetworkID, recs []channel.Record) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"network"}, csvHeader...)
-	header = append(header, csvEnvHeader...)
-	if err := cw.Write(header); err != nil {
+	net := appendField(nil, network.String())
+	return writeRows(w, extHeaderLine, len(recs), func(b []byte, i int) []byte {
+		r := &recs[i]
+		b = appendSample(b, net, &r.Sample)
+		b = append(b, ',')
+		b = appendField(b, r.Env.Area.String())
+		b = append(b, ',')
+		b = appendFixed(b, r.Env.SpeedKmh, 2)
+		b = append(b, ',')
+		b = strconv.AppendBool(b, r.Sample.Burst)
+		return append(b, '\n')
+	})
+}
+
+// writeRows writes header and then the n rows row appends, one reused
+// buffer at a time, through the same 4 KiB buffered writer an
+// encoding/csv Writer would use, so w sees the same write calls.
+func writeRows(w io.Writer, header string, n int, row func(b []byte, i int) []byte) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(header); err != nil {
 		return fmt.Errorf("trace: write header: %w", err)
 	}
-	for _, r := range recs {
-		s := r.Sample
-		rec := []string{
-			network.String(),
-			strconv.FormatInt(s.At.Milliseconds(), 10),
-			strconv.FormatFloat(s.DownMbps, 'f', 3, 64),
-			strconv.FormatFloat(s.UpMbps, 'f', 3, 64),
-			strconv.FormatFloat(float64(s.RTT.Microseconds())/1000, 'f', 3, 64),
-			strconv.FormatFloat(s.LossDown, 'f', 6, 64),
-			strconv.FormatFloat(s.LossUp, 'f', 6, 64),
-			strconv.FormatFloat(s.SignalDB, 'f', 2, 64),
-			s.Serving,
-			strconv.FormatBool(s.Outage),
-			r.Env.Area.String(),
-			strconv.FormatFloat(r.Env.SpeedKmh, 'f', 2, 64),
-			strconv.FormatBool(s.Burst),
-		}
-		if err := cw.Write(rec); err != nil {
+	var b []byte
+	for i := 0; i < n; i++ {
+		b = row(b[:0], i)
+		if _, err := bw.Write(b); err != nil {
 			return fmt.Errorf("trace: write record: %w", err)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return bw.Flush()
+}
+
+// appendSample appends the base columns of one row: the pre-rendered
+// network field, then the sample.
+func appendSample(b, net []byte, s *channel.Sample) []byte {
+	b = append(b, net...)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, s.At.Milliseconds(), 10)
+	b = append(b, ',')
+	b = appendFixed(b, s.DownMbps, 3)
+	b = append(b, ',')
+	b = appendFixed(b, s.UpMbps, 3)
+	b = append(b, ',')
+	b = appendFixed(b, float64(s.RTT.Microseconds())/1000, 3)
+	b = append(b, ',')
+	b = appendFixed(b, s.LossDown, 6)
+	b = append(b, ',')
+	b = appendFixed(b, s.LossUp, 6)
+	b = append(b, ',')
+	b = appendFixed(b, s.SignalDB, 2)
+	b = append(b, ',')
+	b = appendField(b, s.Serving)
+	b = append(b, ',')
+	return strconv.AppendBool(b, s.Outage)
+}
+
+// appendField appends a string field, quoted exactly when and how an
+// encoding/csv Writer quotes it: when it holds a comma, a quote, CR or
+// LF, starts with a space, or is `\.`; quotes inside are doubled.
+func appendField(b []byte, f string) []byte {
+	if !fieldNeedsQuotes(f) {
+		return append(b, f...)
+	}
+	b = append(b, '"')
+	for i := 0; i < len(f); i++ {
+		if f[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, f[i])
+	}
+	return append(b, '"')
+}
+
+func fieldNeedsQuotes(f string) bool {
+	if f == "" {
+		return false
+	}
+	if f == `\.` || strings.ContainsAny(f, ",\"\r\n") {
+		return true
+	}
+	r, _ := utf8.DecodeRuneInString(f)
+	return unicode.IsSpace(r)
 }
 
 // ReadCSV parses a trace written by WriteCSV. It is strict: the first
@@ -143,34 +185,32 @@ func readCSV(r io.Reader, lenient bool, onSkip func(int, error)) (*channel.Trace
 // network plus the reconstructed channel.Record (the environment fields
 // are zero for base-layout files). An error returned by fn counts as a
 // malformed row — fatal in strict mode, skip-and-report in lenient
-// mode. This is the incremental reader under store.ScanTrace and the
-// streaming analyzer's shard scan.
+// mode. This is the incremental reader under store.ScanTrace, the
+// streaming analyzer's shard scan and the store's fsck.
 func ScanRecordsCSV(r io.Reader, lenient bool, onSkip func(line int, err error), fn func(channel.NetworkID, channel.Record) error) error {
 	return scanCSV(r, lenient, onSkip, fn)
 }
 
 func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel.NetworkID, channel.Record) error) error {
-	cr := csv.NewReader(stripBOM(r))
-	cr.FieldsPerRecord = -1 // field counts are validated per record below
-	cr.LazyQuotes = true
-	header, err := cr.Read()
+	sp := newSplitter(r)
+	err := sp.next()
 	if err == io.EOF {
 		return errors.New("trace: empty trace file (no header)")
 	}
 	if err != nil {
 		return fmt.Errorf("trace: read header: %w", err)
 	}
-	if strings.TrimSpace(header[0]) != "network" {
-		return fmt.Errorf("trace: unexpected header %q", header[0])
+	if string(trimSpace(sp.field(0))) != "network" {
+		return fmt.Errorf("trace: unexpected header %q", sp.field(0))
 	}
-	wantFields := len(csvHeader) + 1
-	switch len(header) {
-	case wantFields: // base layout
-	case wantFields + len(csvEnvHeader): // extended layout with env columns
-		wantFields += len(csvEnvHeader)
+	d := &rowDecoder{want: len(csvHeader) + 1}
+	switch sp.nf {
+	case d.want: // base layout
+	case d.want + len(csvEnvHeader): // extended layout with env columns
+		d.want += len(csvEnvHeader)
 	default:
 		return fmt.Errorf("trace: unexpected header: %d columns (want %d or %d)",
-			len(header), wantFields, wantFields+len(csvEnvHeader))
+			sp.nf, d.want, d.want+len(csvEnvHeader))
 	}
 	bad := 0
 	skip := func(line int, rowErr error) error {
@@ -187,31 +227,26 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 		return nil
 	}
 	for {
-		rec, err := cr.Read()
+		err := sp.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			line := 0
-			var pe *csv.ParseError
-			if errors.As(err, &pe) {
-				line = pe.Line
-			}
-			if serr := skip(line, fmt.Errorf("trace: line %d: %w", line, err)); serr != nil {
+			// A read error has no line to name.
+			if serr := skip(0, fmt.Errorf("trace: line 0: %w", err)); serr != nil {
 				return serr
 			}
 			continue
 		}
-		if blankRecord(rec) {
+		if sp.nf == 1 && len(trimSpace(sp.field(0))) == 0 {
 			continue // trailing blank / whitespace-only lines are not data
 		}
-		line, _ := cr.FieldPos(0)
-		row, n, err := parseRecord(rec, wantFields)
+		row, n, err := d.decode(sp)
 		if err == nil {
 			err = fn(n, row)
 		}
 		if err != nil {
-			if serr := skip(line, fmt.Errorf("trace: line %d: %w", line, err)); serr != nil {
+			if serr := skip(sp.line, fmt.Errorf("trace: line %d: %w", sp.line, err)); serr != nil {
 				return serr
 			}
 			continue
@@ -221,53 +256,103 @@ func scanCSV(r io.Reader, lenient bool, onSkip func(int, error), fn func(channel
 	return nil
 }
 
-// stripBOM removes a leading UTF-8 byte-order mark, which spreadsheet
-// tools like to prepend when re-saving CSV artifacts.
-func stripBOM(r io.Reader) io.Reader {
-	br := bufio.NewReader(r)
-	if b, err := br.Peek(3); err == nil && b[0] == 0xEF && b[1] == 0xBB && b[2] == 0xBF {
-		br.Discard(3)
+// trimSpace is bytes.TrimSpace with the common case — a field that
+// starts and ends in printable ASCII — answered without a call.
+func trimSpace(b []byte) []byte {
+	if n := len(b); n > 0 && b[0]-'!' < 0x7f-'!' && b[n-1]-'!' < 0x7f-'!' {
+		return b
 	}
-	return br
+	return bytes.TrimSpace(b)
 }
 
-// blankRecord reports whether rec is an empty or whitespace-only line
-// (encoding/csv only skips fully empty lines on its own).
-func blankRecord(rec []string) bool {
-	return len(rec) == 1 && strings.TrimSpace(rec[0]) == ""
-}
-
-// parseRecord validates and parses one data record (network + sample,
+// rowDecoder validates and parses split data records (network + sample,
 // plus the environment columns in the extended layout). The network
 // column resolves against the default catalog, so traces of custom
-// registered networks load like the built-in five.
-func parseRecord(rec []string, wantFields int) (channel.Record, channel.NetworkID, error) {
-	if len(rec) != wantFields {
-		return channel.Record{}, channel.NetworkInvalid, fmt.Errorf("%d fields, want %d", len(rec), wantFields)
+// registered networks load like the built-in five. The network, serving
+// and area columns repeat from row to row, so each distinct value is
+// resolved, and its string allocated, once per scan.
+type rowDecoder struct {
+	want    int // fields per record
+	nets    memo[channel.NetworkID]
+	serving memo[string]
+	areas   memo[geo.AreaType]
+}
+
+// memo resolves a column's values once per distinct value, and answers
+// a repeat of the previous row's value without a map lookup.
+type memo[V any] struct {
+	seen map[string]memoEntry[V]
+	last memoEntry[V]
+	ok   bool // last is set
+}
+
+type memoEntry[V any] struct {
+	key string
+	v   V
+}
+
+// get returns resolve(string(key)), calling resolve only on the first
+// sight of a key; a failed resolution is not remembered.
+func (c *memo[V]) get(key []byte, resolve func(string) (V, error)) (V, error) {
+	if c.ok && string(key) == c.last.key {
+		return c.last.v, nil
 	}
-	n, err := channel.ParseNetwork(strings.TrimSpace(rec[0]))
+	e, hit := c.seen[string(key)]
+	if !hit {
+		k := string(key)
+		v, err := resolve(k)
+		if err != nil {
+			return v, err
+		}
+		if c.seen == nil {
+			c.seen = make(map[string]memoEntry[V])
+		}
+		e = memoEntry[V]{key: k, v: v}
+		c.seen[k] = e
+	}
+	c.last, c.ok = e, true
+	return e.v, nil
+}
+
+func servingID(s string) (string, error) { return s, nil }
+
+var errUnknownArea = errors.New("unknown area")
+
+func parseArea(s string) (geo.AreaType, error) {
+	if a, ok := geo.ParseArea(s); ok {
+		return a, nil
+	}
+	return 0, errUnknownArea
+}
+
+// decode parses the splitter's current record. Checks run in column
+// order, so a row with several faults reports its first.
+func (d *rowDecoder) decode(sp *splitter) (channel.Record, channel.NetworkID, error) {
+	if sp.nf != d.want {
+		return channel.Record{}, channel.NetworkInvalid, fmt.Errorf("%d fields, want %d", sp.nf, d.want)
+	}
+	n, err := d.nets.get(trimSpace(sp.field(0)), channel.ParseNetwork)
 	if err != nil {
 		return channel.Record{}, channel.NetworkInvalid, err
 	}
-	s, err := parseSample(rec[1:])
-	if err != nil {
+	var out channel.Record
+	if err := d.sample(&out.Sample, sp.fields[1:]); err != nil {
 		return channel.Record{}, n, err
 	}
-	out := channel.Record{Sample: s}
-	out.Env.At = s.At
-	if wantFields > len(csvHeader)+1 {
-		ext := rec[len(csvHeader)+1:]
-		area, ok := geo.ParseArea(strings.TrimSpace(ext[0]))
-		if !ok {
+	out.Env.At = out.Sample.At
+	if d.want > len(csvHeader)+1 {
+		ext := sp.fields[len(csvHeader)+1:]
+		area, err := d.areas.get(trimSpace(ext[0]), parseArea)
+		if err != nil {
 			return channel.Record{}, n, fmt.Errorf("bad area %q", ext[0])
 		}
 		out.Env.Area = area
-		speed, err := strconv.ParseFloat(strings.TrimSpace(ext[1]), 64)
+		speed, err := parseFloat(trimSpace(ext[1]))
 		if err != nil {
 			return channel.Record{}, n, fmt.Errorf("bad speed_kmh %q: %w", ext[1], err)
 		}
 		out.Env.SpeedKmh = speed
-		burst, err := strconv.ParseBool(strings.TrimSpace(ext[2]))
+		burst, err := parseBool(trimSpace(ext[2]))
 		if err != nil {
 			return channel.Record{}, n, fmt.Errorf("bad burst %q: %w", ext[2], err)
 		}
@@ -276,35 +361,35 @@ func parseRecord(rec []string, wantFields int) (channel.Record, channel.NetworkI
 	return out, n, nil
 }
 
-func parseSample(rec []string) (channel.Sample, error) {
-	var s channel.Sample
-	atMs, err := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
+// sample parses the base columns after the network into s.
+func (d *rowDecoder) sample(s *channel.Sample, rec [][]byte) error {
+	atMs, err := parseInt(trimSpace(rec[0]))
 	if err != nil {
-		return s, fmt.Errorf("bad at_ms %q: %w", rec[0], err)
+		return fmt.Errorf("bad at_ms %q: %w", rec[0], err)
 	}
 	s.At = time.Duration(atMs) * time.Millisecond
-	fields := []*float64{&s.DownMbps, &s.UpMbps, nil, &s.LossDown, &s.LossUp, &s.SignalDB}
+	fields := [...]*float64{&s.DownMbps, &s.UpMbps, nil, &s.LossDown, &s.LossUp, &s.SignalDB}
 	for i, dst := range fields {
 		if dst == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rec[1+i]), 64)
+		v, err := parseFloat(trimSpace(rec[1+i]))
 		if err != nil {
-			return s, fmt.Errorf("bad field %d %q: %w", i, rec[1+i], err)
+			return fmt.Errorf("bad field %d %q: %w", i, rec[1+i], err)
 		}
 		*dst = v
 	}
-	rttMs, err := strconv.ParseFloat(strings.TrimSpace(rec[3]), 64)
+	rttMs, err := parseFloat(trimSpace(rec[3]))
 	if err != nil {
-		return s, fmt.Errorf("bad rtt %q: %w", rec[3], err)
+		return fmt.Errorf("bad rtt %q: %w", rec[3], err)
 	}
 	s.RTT = time.Duration(rttMs * float64(time.Millisecond))
-	s.Serving = rec[7]
-	s.Outage, err = strconv.ParseBool(strings.TrimSpace(rec[8]))
+	s.Serving, _ = d.serving.get(rec[7], servingID)
+	s.Outage, err = parseBool(trimSpace(rec[8]))
 	if err != nil {
-		return s, fmt.Errorf("bad outage %q: %w", rec[8], err)
+		return fmt.Errorf("bad outage %q: %w", rec[8], err)
 	}
-	return s, nil
+	return nil
 }
 
 // mahimahiMTU is the bytes-per-opportunity constant of the Mahimahi
@@ -409,6 +494,16 @@ func readMahimahi(r io.Reader, network channel.NetworkID, lenient bool, onSkip f
 		})
 	}
 	return tr, nil
+}
+
+// stripBOM removes a leading UTF-8 byte-order mark, which spreadsheet
+// tools like to prepend when re-saving CSV artifacts.
+func stripBOM(r io.Reader) *bufio.Reader {
+	br := bufio.NewReader(r)
+	if b, err := br.Peek(3); err == nil && b[0] == 0xEF && b[1] == 0xBB && b[2] == 0xBF {
+		br.Discard(3)
+	}
+	return br
 }
 
 // Align trims a set of traces to their common time span (all traces are
